@@ -168,3 +168,29 @@ func TestBSPSlowerThanTTGInVirtualTime(t *testing.T) {
 		t.Fatalf("SLATE-model (%v) slower than ScaLAPACK-model (%v)", slate, scal)
 	}
 }
+
+// TestVerifyResidual checks the randomized O(n²) checker against the exact
+// one: both accept a correct factor, and both reject it once a single
+// element is off or a tile is missing.
+func TestVerifyResidual(t *testing.T) {
+	grid := tile.Grid{N: 72, NB: 16} // uneven trailing tile
+	results := runReal(t, ttg.PaRSEC, TTGVariant, 2, grid, true)
+	if resid, ok := VerifyResidual(grid, results, 1); !ok {
+		t.Fatalf("correct factor rejected: residual %g", resid)
+	}
+	bad := results[ttg.Int2{3, 1}].Clone()
+	bad.Set(5, 7, bad.At(5, 7)+1e-6)
+	orig := results[ttg.Int2{3, 1}]
+	results[ttg.Int2{3, 1}] = bad
+	if resid, ok := VerifyResidual(grid, results, 1); ok {
+		t.Fatalf("one corrupted element accepted: residual %g", resid)
+	}
+	if _, ok := Verify(grid, results); ok {
+		t.Fatal("exact check accepted the corrupted factor")
+	}
+	results[ttg.Int2{3, 1}] = orig
+	delete(results, ttg.Int2{4, 0})
+	if resid, ok := VerifyResidual(grid, results, 1); ok {
+		t.Fatalf("missing tile accepted: residual %g", resid)
+	}
+}

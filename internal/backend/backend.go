@@ -475,7 +475,7 @@ func (p *Proc) Deliver(dest int, d core.Delivery) {
 			p.eagerSends.Add(1)
 		}
 	}
-	p.enqueue(dest, kData, b)
+	p.enqueue(dest, kData, b, nil, 0)
 }
 
 // deliverLoopback handles a Deliver whose destination is the local rank.
@@ -570,20 +570,24 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, enc *serde.Cached, g ser
 	if p.eagerSends != nil {
 		p.eagerSends.Add(1)
 	}
-	p.enqueueSegs(dest, b, segs)
+	p.enqueue(dest, kGatherData, b, segs, 0)
 	return true
 }
 
 // deliverSplit performs splitmd phase 1: eager metadata plus an RMA handle
 // to the registered source object; the receiver fetches the payload.
+//
+// Alias safety, as for gather: the receiver reads the registered object
+// later, so unless it is the transport's own (OwnsValue) or lent under the
+// const-ref promise (SendBorrow), it is snapshotted first — a moved value
+// with local consumers may be mutated in place by one of them before the
+// remote fetch reads it.
 func (p *Proc) deliverSplit(dest int, d core.Delivery) {
 	src := d.Value.(serde.SplitMD)
-	snapshot := false
-	if d.Mode == core.SendCopy {
-		// The sender may mutate after send; snapshot for the deferred read.
+	snapshot := !d.OwnsValue && d.Mode != core.SendBorrow
+	if snapshot {
 		src = serde.CloneAny(d.Value).(serde.SplitMD)
 		p.tr.DataCopies.Add(1)
-		snapshot = true
 	} else {
 		p.tr.CopiesAvoided.Add(1)
 	}
@@ -608,35 +612,27 @@ func (p *Proc) deliverSplit(dest int, d core.Delivery) {
 	if p.rdvSends != nil {
 		p.rdvSends.Add(1)
 	}
-	p.enqueue(dest, kSplit, b)
+	p.enqueue(dest, kSplit, b, nil, src.PayloadBytes())
 }
 
-// enqueue hands one logical message (owned buffer b) to the transport.
-// Termination detection and the logical-message stats are counted here, at
-// enqueue time; the message then either joins dest's coalescing frame or —
-// when coalescing is off or the message alone exceeds the frame size —
-// becomes its own wire packet.
-func (p *Proc) enqueue(dest int, kind uint8, b *serde.Buffer) {
-	p.countSent(b.Len())
-	if p.coal != nil && b.Len() < p.coal.maxBytes {
-		p.coal.add(dest, kind, b)
+// enqueue hands one logical message to the transport: the framed part
+// (owned buffer b) plus its by-reference payload segments (gather sends;
+// nil otherwise). Termination detection and the logical-message stats are
+// counted here, at enqueue time. One coalescing rule covers every kind: a
+// message occupies the link for its framed bytes, its segments, and the
+// announced payload bytes a splitmd announcement makes the receiver pull
+// at once. A message whose occupancy fits the frame joins dest's
+// coalescing frame; a larger one — and every message when coalescing is
+// off — becomes its own wire packet, so announcing a large tile never
+// waits for the frame to fill or the sender to go idle.
+func (p *Proc) enqueue(dest int, kind uint8, b *serde.Buffer, segs []serde.Segment, announced int) {
+	segBytes := serde.SegmentBytes(segs)
+	p.countSent(b.Len() + segBytes)
+	if extra := segBytes + announced; p.coal != nil && b.Len()+extra < p.coal.maxBytes {
+		p.coal.add(dest, kind, b, segs, extra)
 		return
 	}
-	p.sendWire(dest, kind, b.Detach())
-}
-
-// enqueueSegs is enqueue for a gather message: the framed part (owned
-// buffer b) plus its by-reference payload segments. The segment bytes
-// count toward the coalescing threshold — a frame's wire occupancy is
-// header bytes plus everything shipped alongside it.
-func (p *Proc) enqueueSegs(dest int, b *serde.Buffer, segs []serde.Segment) {
-	total := b.Len() + serde.SegmentBytes(segs)
-	p.countSent(total)
-	if p.coal != nil && total < p.coal.maxBytes {
-		p.coal.addSegs(dest, kGatherData, b, segs)
-		return
-	}
-	p.sendWireSegs(dest, kGatherData, b.Detach(), segs)
+	p.sendWireSegs(dest, kind, b.Detach(), segs)
 }
 
 // sendDirect is enqueue for broadcast traffic, which bypasses coalescing:
@@ -890,31 +886,45 @@ func (p *Proc) startSplitFetch(b *serde.Buffer, src int) {
 	go p.fetchSplit(d, tag, meta, payloadBytes, h, src)
 }
 
+// fetchSplit is splitmd phase 2: fetch the payload, land it as the
+// delivered value, and release the sender's region. The fetched object
+// itself becomes the value wherever that is safe:
+//
+//   - owned (a network pull): a requester-owned temporary — a scatter view
+//     over pooled landed segments when the owner gather-encoded — is
+//     delivered as it is, exclusive, exactly like a gather decode;
+//   - not owned, SendBorrow (shared memory): the lender's live object is
+//     delivered Borrowed, so the receive side shares it with read-only
+//     consumers and clones it for the rest;
+//   - otherwise the receiver still copies, into an object the traits
+//     allocate from the metadata.
 func (p *Proc) fetchSplit(d core.Delivery, tag uint32, meta []byte, payloadBytes int, h fabric.RMAHandle, src int) {
 	defer p.det.Deactivate()
-	traits, ok := serde.SplitMDByTag(tag)
-	if !ok {
-		panic(fmt.Sprintf("backend: no splitmd traits for wire tag %d", tag))
-	}
-	obj := traits.Allocate(meta)
 	srcObj, owned, err := p.ep.FetchObject(h, payloadBytes)
 	if err != nil {
 		panic(fmt.Sprintf("backend: splitmd fetch failed: %v", err))
 	}
-	obj.CopyPayloadFrom(srcObj.(serde.SplitMD))
-	if owned {
-		// A network fabric decoded a requester-owned temporary for us;
-		// its pooled payload is dead once copied out.
-		if r, ok := srcObj.(pool.Releasable); ok {
-			r.Release()
+	switch {
+	case owned:
+		d.Value = srcObj
+		d.Exclusive = true
+	case d.Mode == core.SendBorrow:
+		d.Value = srcObj
+		d.Borrowed = true
+	default:
+		traits, ok := serde.SplitMDByTag(tag)
+		if !ok {
+			panic(fmt.Sprintf("backend: no splitmd traits for wire tag %d", tag))
 		}
+		obj := traits.Allocate(meta)
+		obj.CopyPayloadFrom(srcObj.(serde.SplitMD))
+		d.Value = obj
+		// The allocated+fetched object belongs to this rank alone.
+		d.Exclusive = true
 	}
 	p.tr.SplitMDTransfers.Add(1)
 	p.tr.BytesReceived.Add(int64(payloadBytes)) // the RMA-fetched payload
 	p.recordDeliver(payloadBytes)
-	d.Value = obj
-	// The allocated+fetched object belongs to this rank alone.
-	d.Exclusive = true
 	p.graph.Inject(d)
 	if d.Control == core.CtrlReduce {
 		p.flushSends()

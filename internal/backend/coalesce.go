@@ -28,9 +28,9 @@ type coalescer struct {
 	maxCount int
 	peers    []peerBuf
 
-	// Live gauges for the introspection endpoint: bytes and messages
-	// currently buffered across all peer frames (grow on add, shrink when a
-	// frame is taken for the wire).
+	// Live gauges for the introspection endpoint: link bytes (see
+	// peerBuf.extra) and messages currently held across all peer frames
+	// (grow on add, shrink when a frame is taken for the wire).
 	queuedBytes atomic.Int64
 	queuedMsgs  atomic.Int64
 }
@@ -41,11 +41,12 @@ type peerBuf struct {
 	buf   *serde.Buffer // nil when no messages are pending
 	count int
 	// segs collects the by-reference payload segments of the frame's
-	// gather sub-messages, in sub-message order; segBytes is their total
-	// wire size (it counts toward the frame's flush threshold, since the
-	// packet occupies the link for header + segment bytes).
-	segs     []serde.Segment
-	segBytes int
+	// gather sub-messages, in sub-message order. extra is the link
+	// occupancy of the frame beyond its framed run: segment bytes plus the
+	// payloads that splitmd announcements in it announce. It counts toward
+	// the flush threshold, since the frame holds the link for all of it.
+	segs  []serde.Segment
+	extra int
 }
 
 func newCoalescer(p *Proc, ranks, maxBytes, maxCount int) *coalescer {
@@ -54,20 +55,12 @@ func newCoalescer(p *Proc, ranks, maxBytes, maxCount int) *coalescer {
 
 // add appends one encoded message to dest's pending frame, taking ownership
 // of b (its bytes are copied into the frame and the buffer is released).
-// Crossing either flush threshold sends the frame immediately; the send
-// happens outside the peer lock so concurrent senders to the same rank
-// only contend for the memcpy.
-func (c *coalescer) add(dest int, kind uint8, b *serde.Buffer) {
-	c.addSegs(dest, kind, b, nil)
-}
-
-// addSegs is add for gather messages: b holds the framed headers, segs
-// the by-reference payload. Segment bytes count toward the byte
-// threshold so a frame's wire occupancy, not just its header run,
-// bounds the batching latency.
-func (c *coalescer) addSegs(dest int, kind uint8, b *serde.Buffer, segs []serde.Segment) {
+// segs are the message's by-reference payload segments (gather) and extra
+// its link bytes beyond the framed part. Crossing either flush threshold
+// sends the frame immediately; the send happens outside the peer lock so
+// concurrent senders to the same rank only contend for the memcpy.
+func (c *coalescer) add(dest int, kind uint8, b *serde.Buffer, segs []serde.Segment, extra int) {
 	pb := &c.peers[dest]
-	sb := serde.SegmentBytes(segs)
 	pb.mu.Lock()
 	if pb.buf == nil {
 		pb.buf = serde.GetBuffer(c.maxBytes + 64)
@@ -75,21 +68,21 @@ func (c *coalescer) addSegs(dest int, kind uint8, b *serde.Buffer, segs []serde.
 	pb.buf.PutU8(kind)
 	pb.buf.PutRaw(b.Bytes())
 	pb.segs = append(pb.segs, segs...)
-	pb.segBytes += sb
+	pb.extra += extra
 	pb.count++
-	c.queuedBytes.Add(int64(1 + len(b.Bytes()) + sb))
+	c.queuedBytes.Add(int64(1 + len(b.Bytes()) + extra))
 	c.queuedMsgs.Add(1)
 	var out *serde.Buffer
 	var outSegs []serde.Segment
-	var n, outSB int
-	if pb.buf.Len()+pb.segBytes >= c.maxBytes || pb.count >= c.maxCount {
-		out, outSegs, n, outSB = pb.buf, pb.segs, pb.count, pb.segBytes
-		pb.buf, pb.segs, pb.count, pb.segBytes = nil, nil, 0, 0
+	var n, outExtra int
+	if pb.buf.Len()+pb.extra >= c.maxBytes || pb.count >= c.maxCount {
+		out, outSegs, n, outExtra = pb.buf, pb.segs, pb.count, pb.extra
+		pb.buf, pb.segs, pb.count, pb.extra = nil, nil, 0, 0
 	}
 	pb.mu.Unlock()
 	b.Release()
 	if out != nil {
-		c.queuedBytes.Add(int64(-(out.Len() + outSB)))
+		c.queuedBytes.Add(int64(-(out.Len() + outExtra)))
 		c.queuedMsgs.Add(int64(-n))
 		c.p.flushFrame(dest, out, n, outSegs)
 	}
@@ -99,11 +92,11 @@ func (c *coalescer) addSegs(dest int, kind uint8, b *serde.Buffer, segs []serde.
 func (c *coalescer) flush(dest int) {
 	pb := &c.peers[dest]
 	pb.mu.Lock()
-	out, outSegs, n, outSB := pb.buf, pb.segs, pb.count, pb.segBytes
-	pb.buf, pb.segs, pb.count, pb.segBytes = nil, nil, 0, 0
+	out, outSegs, n, outExtra := pb.buf, pb.segs, pb.count, pb.extra
+	pb.buf, pb.segs, pb.count, pb.extra = nil, nil, 0, 0
 	pb.mu.Unlock()
 	if out != nil {
-		c.queuedBytes.Add(int64(-(out.Len() + outSB)))
+		c.queuedBytes.Add(int64(-(out.Len() + outExtra)))
 		c.queuedMsgs.Add(int64(-n))
 		c.p.flushFrame(dest, out, n, outSegs)
 	}

@@ -95,6 +95,12 @@ type Delivery struct {
 	// destination. A gathering transport may then ship payload segments
 	// by reference without snapshotting them. Not wire-encoded.
 	OwnsValue bool
+	// Borrowed marks Value as the lender's live object, delivered across
+	// a rank boundary in shared memory without a copy (a SendBorrow
+	// fetched over splitmd). The receiving runtime must neither take it in
+	// place nor reclaim it: read-only consumers share it, every other
+	// consumer gets a clone. Not wire-encoded.
+	Borrowed bool
 }
 
 // Executor is the contract a runtime backend provides to a graph.

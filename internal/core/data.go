@@ -97,6 +97,18 @@ func newTracked(value any, refs int, reclaim bool) *tracked {
 	return h
 }
 
+// newLent wraps a borrowed value (Delivery.Borrowed) for refs consumers.
+// The handle carries one extra lender reference that is never dropped, so
+// its count never falls to the sole-reference state: no consumer takes the
+// value in place and it is never reclaimed. Read-only consumers share it;
+// writers clone at task start. The value is not runtime-owned, so the
+// handle stays off the live gauge.
+func newLent(value any, refs int) *tracked {
+	h := newTracked(value, refs+1, false)
+	liveTracked.Add(-1)
+	return h
+}
+
 // endViewLease retires the recv-view ledger entry of a view-decoded value
 // at the moment the runtime stops being responsible for its payload
 // memory — the value is reclaimed, consumed by a fold, or handed to the

@@ -274,7 +274,9 @@ func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 	// Handle membership follows the same predicate as local fan-out
 	// (routeEdges): a moved value is shared by every non-reducer consumer;
 	// a copied or borrowed one only by terminals that declared an access
-	// mode. Default-access consumers keep the legacy per-key clones.
+	// mode. Default-access consumers keep the legacy per-key clones. A
+	// Borrowed delivery is the lender's own object: even one joining
+	// consumer gets a lent handle, and no consumer receives it raw.
 	joins := func(tt *TT, term int) bool {
 		in := &tt.inputs[term]
 		return in.Reducer == nil && (d.Mode == SendMove || in.Access != AccessDefault)
@@ -287,7 +289,10 @@ func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 				n += len(tgt.Keys)
 			}
 		}
-		if n >= 2 {
+		switch {
+		case d.Borrowed && n > 0:
+			h = newLent(d.Value, n)
+		case n >= 2:
 			h = newTracked(d.Value, n, d.Exclusive)
 		}
 	}
@@ -326,10 +331,10 @@ func (g *Graph) injectCollect(d Delivery, first **Task, extra *[]*Task) {
 			switch {
 			case h != nil && joins(tt, tgt.Term):
 				v = h
-			case h != nil:
+			case h != nil || d.Borrowed:
 				// Reducer folds and default-access consumers can't join the
 				// handle, and the raw object now aliases the consumers that
-				// did, so they get their own copies.
+				// did (or is the lender's), so they get their own copies.
 				v = serdeClone(d.Value, g.exec.Tracer())
 			case i > 0:
 				// The same deserialized object satisfies several local task

@@ -232,9 +232,9 @@ func init() {
 			rows := int(b.Varint())
 			cols := int(b.Varint())
 			if b.Bool() {
-				// CopyPayloadFrom overwrites the payload, but the fetch may
-				// be partial in principle, so hand out zeroed memory.
-				return NewPooled(rows, cols)
+				// Pooled and uninitialised: CopyPayloadFrom overwrites
+				// every element.
+				return get(rows, cols)
 			}
 			return Phantom(rows, cols)
 		},

@@ -15,6 +15,7 @@ import (
 	"repro/internal/apps/bspmm"
 	"repro/internal/apps/cholesky"
 	"repro/internal/netfab"
+	"repro/internal/serde"
 	"repro/internal/sparse"
 	"repro/internal/tile"
 	"repro/ttg"
@@ -93,6 +94,15 @@ func TestNetE2EWorker(t *testing.T) {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	results := runNetApp(app, ttg.Config{Fabric: ep, WorkersPerRank: 2})
+	// Run returns after the endpoint's graceful close, which delivers
+	// every splitmd release ack; every fetched payload was a receive view
+	// whose lease the data tracker must have retired by then.
+	if n := ep.RegionCount(); n != 0 {
+		t.Fatalf("rank %d: %d splitmd regions still registered after the run", rank, n)
+	}
+	if n := serde.LiveRecvViews(); n != 0 {
+		t.Fatalf("rank %d: %d receive views still leased after the run", rank, n)
+	}
 	if err := writeTiles(os.Getenv(netOutEnv), results); err != nil {
 		t.Fatalf("writing tiles: %v", err)
 	}
