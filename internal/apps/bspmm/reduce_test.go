@@ -34,12 +34,15 @@ func TestDBCSRHierarchicalReductionCounts(t *testing.T) {
 		var app *App
 		rt.Run(func(p *sim.Proc) {
 			g := ttg.NewGraphOn(p)
-			app = Build(g, Options{
+			a := Build(g, Options{
 				A: m, Phantom: true, Variant: DBCSRModel,
 				Layers: layers, FlatReduce: flat,
 			})
+			if p.Rank() == 0 { // every rank builds the same plan; keep one
+				app = a
+			}
 			g.MakeExecutable()
-			app.Seed()
+			a.Seed()
 			g.Fence()
 		})
 		var snap trace.Snapshot

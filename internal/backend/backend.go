@@ -234,14 +234,9 @@ type Proc struct {
 
 	// rec is the rank's observability recorder (nil when disabled); metric
 	// handles are resolved once to keep the send path lock-free.
-	rec        *obs.Rank
-	msgBytes   *obs.Histogram
-	wirePkts   *obs.Counter
-	wireBytes  *obs.Counter
-	eagerSends *obs.Counter
-	rdvSends   *obs.Counter
-	coalBatch  *obs.Histogram
-	bcChunks   *obs.Counter
+	rec       *obs.Rank
+	msgBytes  *obs.Histogram
+	coalBatch *obs.Histogram
 
 	// snaps tracks RMA handles whose registered object is a runtime-owned
 	// splitmd snapshot (SendCopy); on release ack the object goes back to
@@ -255,14 +250,10 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 	p := &Proc{rt: rt, rank: rank, ep: ep, ready: make(chan struct{})}
 	if rt.opts.Obs != nil {
 		p.rec = rt.opts.Obs.Rank(rank)
+		p.rec.SetCounters(&p.tr)
 		m := p.rec.Metrics()
 		p.msgBytes = m.Histogram(obs.HistMsgBytes)
-		p.wirePkts = m.Counter(obs.CounterWirePackets)
-		p.wireBytes = m.Counter(obs.CounterWireBytes)
-		p.eagerSends = m.Counter(obs.CounterEagerSends)
-		p.rdvSends = m.Counter(obs.CounterRendezvousSends)
 		p.coalBatch = m.Histogram(obs.HistCoalesceBatch)
-		p.bcChunks = m.Counter(obs.CounterBcastChunks)
 	}
 	p.det = termdet.New(rank, rt.Ranks(), func(dst int, data []byte) {
 		p.ep.Send(dst, kCtrl, data)
@@ -270,7 +261,7 @@ func newProc(rt *Runtime, ep fabric.Endpoint) *Proc {
 	p.pool = sched.NewPool(rt.opts.WorkersPerRank, rt.opts.Policy, func(w int, it sched.Item) {
 		it.Value.(*core.Task).Execute(w)
 	})
-	p.pool.Trace(&p.tr)
+	p.tr.AttachSched(p.pool.Stats)
 	if p.rec != nil {
 		p.pool.Observe(p.rec)
 		// A panicking task body must not take the in-flight trace down with
@@ -471,9 +462,6 @@ func (p *Proc) Deliver(dest int, d core.Delivery) {
 		enc.EncodeAny(b, d.Value)
 		p.tr.ArchiveTransfers.Add(1)
 		p.tr.CopySends.Add(1)
-		if p.eagerSends != nil {
-			p.eagerSends.Add(1)
-		}
 	}
 	p.enqueue(dest, kData, b, nil, 0)
 }
@@ -567,9 +555,6 @@ func (p *Proc) deliverGather(dest int, d core.Delivery, enc *serde.Cached, g ser
 	hdr.Release()
 	p.tr.GatherSends.Add(1)
 	p.tr.BytesZeroCopied.Add(int64(serde.SegmentBytes(segs)))
-	if p.eagerSends != nil {
-		p.eagerSends.Add(1)
-	}
 	p.enqueue(dest, kGatherData, b, segs, 0)
 	return true
 }
@@ -608,10 +593,9 @@ func (p *Proc) deliverSplit(dest int, d core.Delivery) {
 	b.PutUvarint(uint64(src.PayloadBytes()))
 	b.PutRaw(fabric.EncodeHandle(nil, h))
 	p.tr.SplitMDTransfers.Add(1)
+	p.tr.RendezvousSends.Add(1)
+	p.tr.RendezvousBytes.Add(int64(src.PayloadBytes()))
 	p.tr.BytesSent.Add(int64(src.PayloadBytes())) // the RMA-fetched payload
-	if p.rdvSends != nil {
-		p.rdvSends.Add(1)
-	}
 	p.enqueue(dest, kSplit, b, nil, src.PayloadBytes())
 }
 
@@ -678,10 +662,6 @@ func (p *Proc) sendWireSegs(dest int, kind uint8, data []byte, segs []serde.Segm
 	n := len(data) + serde.SegmentBytes(segs)
 	p.tr.WirePackets.Add(1)
 	p.tr.BytesSent.Add(int64(n))
-	if p.wirePkts != nil {
-		p.wirePkts.Add(1)
-		p.wireBytes.Add(int64(n))
-	}
 	p.ep.SendSegs(dest, kind, data, segs)
 }
 
@@ -954,31 +934,14 @@ func (p *Proc) boundGraph() *core.Graph {
 }
 
 // LiveTarget exposes this rank to the graph doctor: its bound graph, its
-// forward-progress counters, and the termination detector's activity level.
+// counters, the termination detector's activity level and its pool.
 func (p *Proc) LiveTarget() live.Target {
 	return live.Target{
-		Rank:  p.rank,
-		Graph: p.boundGraph,
-		Progress: func() live.Progress {
-			return live.Progress{
-				Tasks:        p.tr.TasksExecuted.Load(),
-				MsgsSent:     p.tr.MsgsSent.Load(),
-				MsgsReceived: p.tr.MsgsReceived.Load(),
-			}
-		},
-		Active: p.det.Active,
-		Sched: func() live.SchedStats {
-			s := p.pool.Stats()
-			return live.SchedStats{
-				Workers:       s.Workers,
-				Parked:        s.Parked,
-				StealAttempts: s.StealAttempts,
-				StealHits:     s.StealHits,
-				InlineRuns:    s.InlineRuns,
-				Parks:         s.Parks,
-				Wakes:         s.Wakes,
-			}
-		},
+		Rank:     p.rank,
+		Graph:    p.boundGraph,
+		Counters: p.tr.Snapshot,
+		Active:   p.det.Active,
+		Sched:    p.pool.Stats,
 	}
 }
 

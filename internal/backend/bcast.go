@@ -80,9 +80,7 @@ func (p *Proc) Broadcast(dests map[int]core.Delivery) {
 		cb.PutUvarint(uint64(i))
 		cb.PutBytes(v[lo:hi])
 		cd := cb.Detach()
-		if p.bcChunks != nil {
-			p.bcChunks.Add(int64(len(kids)))
-		}
+		p.tr.BcastChunks.Add(int64(len(kids)))
 		for _, child := range kids {
 			p.sendDirect(child, kBcastChunk, cd)
 		}
@@ -232,9 +230,7 @@ func (p *Proc) handleBcastChunk(data []byte) {
 	// Forward first: the children's links start transmitting this chunk
 	// while we finish the local copy (and while the next chunk is still
 	// inbound) — that overlap is the pipeline.
-	if p.bcChunks != nil {
-		p.bcChunks.Add(int64(len(st.kids)))
-	}
+	p.tr.BcastChunks.Add(int64(len(st.kids)))
 	for _, child := range st.kids {
 		p.sendDirect(child, kBcastChunk, data)
 	}

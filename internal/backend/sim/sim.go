@@ -252,15 +252,9 @@ func (p *Proc) Bind(g *core.Graph) {
 // pending shells are worth classifying.
 func (p *Proc) LiveTarget() live.Target {
 	return live.Target{
-		Rank:  p.rank,
-		Graph: p.bound.Load,
-		Progress: func() live.Progress {
-			return live.Progress{
-				Tasks:        p.tr.TasksExecuted.Load(),
-				MsgsSent:     p.tr.MsgsSent.Load(),
-				MsgsReceived: p.tr.MsgsReceived.Load(),
-			}
-		},
+		Rank:     p.rank,
+		Graph:    p.bound.Load,
+		Counters: p.tr.Snapshot,
 	}
 }
 
@@ -497,6 +491,8 @@ func (p *Proc) deliver(dest int, d core.Delivery) {
 		meta := core.HeaderWireSize(d) + 64
 		p.tr.BytesSent.Add(int64(meta + payload))
 		p.tr.SplitMDTransfers.Add(1)
+		p.tr.RendezvousSends.Add(1)
+		p.tr.RendezvousBytes.Add(int64(payload))
 		depart := maxf(now, p.nicFreeAt)
 		p.nicFreeAt = depart + float64(meta)/bw
 		metaArrive := p.nicFreeAt + m.Latency

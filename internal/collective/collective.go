@@ -177,8 +177,8 @@ func ReduceHeight(root, n, me int) int {
 // Observe records the shape of a planned tree broadcast on the root's
 // recorder: a bcast-forward-free EvBroadcast event carrying the
 // participant count (Bytes) and tree depth (Dur), plus the fan-out
-// histogram and tree counter. No-op when rec is nil, so callers pass their
-// possibly-nil recorder straight through.
+// histogram. No-op when rec is nil, so callers pass their possibly-nil
+// recorder straight through.
 func Observe(rec obs.Recorder, order []int, payloadBytes int) {
 	if rec == nil {
 		return
@@ -187,7 +187,6 @@ func Observe(rec obs.Recorder, order []int, payloadBytes int) {
 		Bytes: int64(len(order)), Dur: int64(Depth(len(order))), Name: "tree"})
 	m := rec.Metrics()
 	m.Histogram(obs.HistBcastFanout).Observe(int64(len(order)))
-	m.Counter(obs.CounterBcastTrees).Add(1)
 	if payloadBytes > 0 {
 		m.Histogram(obs.HistMsgBytes).Observe(int64(payloadBytes))
 	}

@@ -377,16 +377,19 @@ func (g *Graph) submitCollected(first *Task, extra []*Task) {
 // if it became ready (the caller submits, possibly batched).
 func (g *Graph) deliverLocal(tt *TT, term int, key any, value any, worker int) *Task {
 	spec := &tt.inputs[term]
+	tr := g.exec.Tracer()
 	if o := g.obs; o != nil {
 		o.Record(obs.Event{Kind: obs.EvTerminalMatch, Worker: int32(worker),
 			TT: int32(tt.id), Name: tt.name, Key: fmt.Sprint(key)})
 		if spec.Reducer != nil {
 			o.Record(obs.Event{Kind: obs.EvReduceFold, Worker: int32(worker),
 				TT: int32(tt.id), Name: tt.name})
-			g.folds.Add(1)
 		}
 	}
-	g.exec.Tracer().MatchOps.Add(1)
+	if spec.Reducer != nil {
+		tr.StreamFolds.Add(1)
+	}
+	tr.MatchOps.Add(1)
 	sp := tt.match.shard(key)
 	sp.mu.Lock()
 	sh := tt.getShellLocked(sp, key)

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/trace"
 )
 
 // TemplateProfile aggregates the execution of one template task across all
@@ -238,21 +240,8 @@ func (s *Session) Report() *Report {
 	s.reportMu.Lock()
 	defer s.reportMu.Unlock()
 	rep := Analyze(s.Events())
-	rep.Dropped = s.Dropped()
-	rep.PerRank = map[int]RegistrySnapshot{}
-	merged := s.global.Snapshot()
-	s.mu.Lock()
-	ranks := make(map[int]*Rank, len(s.ranks))
-	for r, rk := range s.ranks {
-		ranks[r] = rk
-	}
-	s.mu.Unlock()
-	for r, rk := range ranks {
-		snap := rk.reg.Snapshot()
-		rep.PerRank[r] = snap
-		merged = merged.Merge(snap)
-	}
-	rep.Metrics = merged
+	lr := s.LiveReport()
+	rep.Dropped, rep.Metrics, rep.PerRank = lr.Dropped, lr.Metrics, lr.PerRank
 	return rep
 }
 
@@ -283,10 +272,8 @@ func (r *Report) String() string {
 		r.Msgs.Sends, r.Msgs.Bcasts, r.Msgs.Forwards)
 	fmt.Fprintf(&b, "matches=%d folds=%d steals=%d fences=%d\n",
 		r.Matches, r.Folds, r.Steals, r.Fences)
-	attempts := r.Metrics.Counters[CounterStealAttempts]
-	inlined := r.Metrics.Counters[CounterInlined]
-	parks := r.Metrics.Counters[CounterParks]
-	wakes := r.Metrics.Counters[CounterWakes]
+	c, st := trace.Parse(r.Metrics.Counters)
+	attempts, inlined, parks, wakes := st.StealAttempts, st.InlineRuns, st.Parks, st.Wakes
 	if attempts+inlined+parks+wakes > 0 {
 		hit := "-"
 		if attempts > 0 {
@@ -298,15 +285,12 @@ func (r *Report) String() string {
 			fmt.Fprintf(&b, "inline chain: %s\n", hs)
 		}
 	}
-	copies := r.Metrics.Counters[CounterDataCopies]
-	avoided := r.Metrics.Counters[CounterCopiesAvoided]
+	copies, avoided := c.DataCopies, c.CopiesAvoided
 	if copies+avoided > 0 {
 		fmt.Fprintf(&b, "data: copies=%d avoided=%d (%.0f%% avoidance)\n",
 			copies, avoided, 100*float64(avoided)/float64(copies+avoided))
 	}
-	rfolds := r.Metrics.Counters[CounterReduceLocalFolds]
-	rhops := r.Metrics.Counters[CounterReduceHops]
-	rsaved := r.Metrics.Counters[CounterReduceBytesSaved]
+	rfolds, rhops, rsaved := c.ReduceLocalFolds, c.ReduceHops+c.ReduceDeliveries, c.ReduceBytesSaved
 	if rfolds+rhops > 0 {
 		// Each fold beyond a remote-bound slot's first contribution is one
 		// delivery the owner never received individually; tree hops are the
@@ -314,12 +298,9 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "reduce: local-folds=%d tree-hops=%d owner-inbound-bytes-avoided=%s\n",
 			rfolds, rhops, formatSI(rsaved))
 	}
-	gatherS := r.Metrics.Counters[CounterGatherSends]
-	copyS := r.Metrics.Counters[CounterCopySends]
-	views := r.Metrics.Counters[CounterViewDecodes]
-	if gatherS+copyS+views > 0 {
+	if c.GatherSends+c.CopySends+c.ViewDecodes > 0 {
 		fmt.Fprintf(&b, "serde: gather-sends=%d copy-sends=%d view-decodes=%d bytes-zero-copied=%s\n",
-			gatherS, copyS, views, formatSI(r.Metrics.Counters[CounterBytesZeroCopied]))
+			c.GatherSends, c.CopySends, c.ViewDecodes, formatSI(c.BytesZeroCopied))
 	}
 
 	if hs, ok := r.Metrics.Hists[HistMsgBytes]; ok && hs.Count > 0 {

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // chromeRecord is the subset of the Chrome trace-event schema the flow
@@ -175,12 +177,13 @@ func TestLiveReportDuringRecording(t *testing.T) {
 		go func(r int) {
 			defer recorders.Done()
 			rk := s.Rank(r)
-			tasks := rk.Metrics().Counter("tasks")
+			var tasks trace.Collector
+			rk.SetCounters(&tasks)
 			depth := rk.Metrics().Gauge("depth")
 			lat := rk.Metrics().Histogram("latency_ns")
 			for i := 0; i < perRank; i++ {
 				rk.Record(Event{Kind: EvExecEnd, Worker: int32(i % 2), TT: 0, Name: "T", Dur: int64(i + 1)})
-				tasks.Add(1)
+				tasks.TasksExecuted.Add(1)
 				depth.Add(1)
 				lat.Observe(int64(i))
 				depth.Add(-1)
@@ -195,7 +198,7 @@ func TestLiveReportDuringRecording(t *testing.T) {
 	if lr.Ranks != ranks {
 		t.Fatalf("live report ranks = %d, want %d", lr.Ranks, ranks)
 	}
-	if got := lr.PerRank[0].Counters["tasks"]; got != perRank {
+	if got := lr.PerRank[0].Counters["core.tasks"]; got != perRank {
 		t.Fatalf("rank 0 tasks counter = %d, want %d", got, perRank)
 	}
 	// The final offline report still works after concurrent scraping.

@@ -19,40 +19,10 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/sched"
 	"repro/internal/serde"
+	"repro/internal/trace"
 )
-
-// Progress is a monotone fingerprint of one rank's forward motion; any
-// change between two probes proves the graph is not stalled.
-type Progress struct {
-	Tasks        int64
-	MsgsSent     int64
-	MsgsReceived int64
-}
-
-// SchedStats is one rank's scheduler fingerprint for stall reports: a
-// wedged run shows all workers parked with a cold steal rate, a livelocked
-// one shows spinning steal attempts with no hits.
-type SchedStats struct {
-	Workers       int
-	Parked        int
-	StealAttempts int64
-	StealHits     int64
-	InlineRuns    int64
-	Parks         int64
-	Wakes         int64
-}
-
-// String renders the fingerprint in the shape stall reports embed.
-func (s SchedStats) String() string {
-	hit := "-"
-	if s.StealAttempts > 0 {
-		hit = fmt.Sprintf("%.0f%%", 100*float64(s.StealHits)/float64(s.StealAttempts))
-	}
-	return fmt.Sprintf("parked=%d/%d steal-hit=%s (%d/%d) inlined=%d parks=%d wakes=%d",
-		s.Parked, s.Workers, hit, s.StealHits, s.StealAttempts,
-		s.InlineRuns, s.Parks, s.Wakes)
-}
 
 // Target is one rank's introspection surface. Backends construct these
 // (backend.Proc.LiveTarget, sim.Proc.LiveTarget); tests can hand-build
@@ -61,8 +31,10 @@ type Target struct {
 	Rank int
 	// Graph returns the rank's bound graph, or nil before binding.
 	Graph func() *core.Graph
-	// Progress returns the rank's forward-motion counters.
-	Progress func() Progress
+	// Counters returns the rank's counters. Every counter moves only on
+	// forward motion, so any change between two probes proves the graph
+	// is not stalled.
+	Counters func() trace.Snapshot
 	// Active optionally returns the termination detector's local activity
 	// level (pending tasks + in-flight deliveries). A wedged graph has
 	// zero activity everywhere — partially filled shells hold no
@@ -73,7 +45,7 @@ type Target struct {
 	// Sched optionally returns the rank's worker-pool fingerprint
 	// (parked-worker count, steal hit rate, inline/park/wake counters);
 	// nil for backends without a pool (the sim dispatches in virtual time).
-	Sched func() SchedStats
+	Sched func() sched.Stats
 }
 
 // Config tunes the doctor's stall detection.
@@ -154,7 +126,7 @@ func (d *Doctor) LastReport() *StallReport {
 
 // fingerprint is one probe's cheap (atomics-only) cluster observation.
 type fingerprint struct {
-	progress Progress
+	progress trace.Snapshot
 	active   int64
 	pending  int64
 }
@@ -162,11 +134,8 @@ type fingerprint struct {
 func (d *Doctor) observe() fingerprint {
 	var fp fingerprint
 	for _, t := range d.targets {
-		if t.Progress != nil {
-			p := t.Progress()
-			fp.progress.Tasks += p.Tasks
-			fp.progress.MsgsSent += p.MsgsSent
-			fp.progress.MsgsReceived += p.MsgsReceived
+		if t.Counters != nil {
+			fp.progress = fp.progress.Add(t.Counters())
 		}
 		if t.Active != nil {
 			fp.active += t.Active()
@@ -288,7 +257,7 @@ type RankPending struct {
 	Active  int64
 	Total   int64 // all pending shells on this rank
 	Sampled []core.PendingTask
-	Sched   *SchedStats // scheduler fingerprint, nil without a pool
+	Sched   *sched.Stats // scheduler fingerprint, nil without a pool
 	// PartialCount is how many combiner slots hold unflushed reduction
 	// partials on this rank; Partials samples them. A stall whose only
 	// pending work is partials usually means a commutative stream whose

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/obs/live"
+	"repro/internal/trace"
 )
 
 // fakeCollector pushes a fixed set of instantaneous samples.
@@ -27,9 +28,11 @@ func (c fakeCollector) CollectLive(emit func(live.Sample)) {
 // ending in +Inf with matching _sum/_count, and a final # EOF line.
 func TestOpenMetricsExposition(t *testing.T) {
 	s := obs.NewSession(obs.Config{Capacity: 16})
+	var counters [2]trace.Collector
 	for r := 0; r < 2; r++ {
+		s.Rank(r).SetCounters(&counters[r])
+		counters[r].MatchOps.Add(int64(10 + r))
 		reg := s.Rank(r).Metrics()
-		reg.Counter("core.matches").Add(int64(10 + r))
 		g := reg.Gauge("core.pending_shells")
 		g.Add(5)
 		g.Add(-3) // value 2, high-water mark 5
@@ -90,11 +93,11 @@ func TestOpenMetricsExposition(t *testing.T) {
 		t.Fatalf("families not sorted: %v", families)
 	}
 
-	if typed["core_matches"] != "counter" {
-		t.Fatalf("core_matches type = %q, want counter", typed["core_matches"])
+	if typed["core_match_ops"] != "counter" {
+		t.Fatalf("core_match_ops type = %q, want counter", typed["core_match_ops"])
 	}
-	if !strings.Contains(body, `core_matches_total{rank="0"} 10`) ||
-		!strings.Contains(body, `core_matches_total{rank="1"} 11`) {
+	if !strings.Contains(body, `core_match_ops_total{rank="0"} 10`) ||
+		!strings.Contains(body, `core_match_ops_total{rank="1"} 11`) {
 		t.Fatalf("counter series missing _total suffix or per-rank labels:\n%s", body)
 	}
 	if typed["core_pending_shells"] != "gauge" || typed["core_pending_shells_hwm"] != "gauge" {

@@ -7,32 +7,20 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/trace"
 )
 
-// Registry is a named collection of counters, gauges, and histograms.
-// Metric lookup takes a lock and is meant for setup paths; the returned
-// handles are lock-free atomics for the hot path. The zero value is ready
-// to use.
+// Registry is a named collection of gauges and histograms, plus the
+// rank's monotonic counters, which it does not keep: it reads them live
+// from the rank's trace.Collector through the trace name table. Metric
+// lookup takes a lock and is meant for setup paths; the returned handles
+// are lock-free atomics for the hot path. The zero value is ready to use.
 type Registry struct {
 	mu       sync.Mutex
-	counters map[string]*Counter
+	counters *trace.Collector
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-}
-
-// Counter returns (creating if needed) the named monotonic counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = map[string]*Counter{}
-	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
 }
 
 // Gauge returns (creating if needed) the named gauge.
@@ -74,8 +62,8 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 		Gauges:   map[string]GaugeValue{},
 		Hists:    map[string]HistSnapshot{},
 	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Load()
+	if r.counters != nil {
+		r.counters.Each(func(name string, v int64) { s.Counters[name] = v })
 	}
 	for name, g := range r.gauges {
 		s.Gauges[name] = GaugeValue{Value: g.Load(), Max: g.Max()}
@@ -85,15 +73,6 @@ func (r *Registry) Snapshot() RegistrySnapshot {
 	}
 	return s
 }
-
-// Counter is a monotonic atomic counter.
-type Counter struct{ v atomic.Int64 }
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Load returns the current count.
-func (c *Counter) Load() int64 { return c.v.Load() }
 
 // Gauge is an instantaneous level with a high-water mark (queue depths,
 // backlogs, in-flight messages).

@@ -23,6 +23,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // EventKind labels one task-lifecycle event.
@@ -122,11 +124,12 @@ type Recorder interface {
 	Record(ev Event)
 	// Now returns ns since the session epoch.
 	Now() int64
-	// Metrics returns the rank's registry for counters/gauges/histograms.
+	// Metrics returns the rank's registry for gauges and histograms.
 	Metrics() *Registry
 }
 
-// Standard metric names used by the built-in instrumentation.
+// Standard gauge and histogram names used by the built-in
+// instrumentation. Counter names live in the trace name table.
 const (
 	// GaugeQueueDepth tracks items submitted to but not yet popped from a
 	// rank's scheduler pool.
@@ -144,51 +147,15 @@ const (
 	HistMsgBytes = "msg.bytes"
 	// HistBcastFanout is the participant count of tree broadcasts.
 	HistBcastFanout = "bcast.fanout"
-	// CounterSteals counts successful deque steals.
-	CounterSteals = "sched.steals"
-	// CounterStealAttempts counts steal sweeps started by out-of-work
-	// workers (hit rate = sched.steals / sched.steal_attempts).
-	CounterStealAttempts = "sched.steal_attempts"
-	// CounterInlined counts tasks executed through a worker's run-next
-	// slot, bypassing the queues entirely.
-	CounterInlined = "sched.inlined"
 	// HistInlineChain is the length of completed run-next chains (how many
 	// successors a worker executed back to back without a queue trip).
 	HistInlineChain = "sched.inline_chain"
-	// CounterParks counts workers blocking in the park protocol.
-	CounterParks = "sched.parks"
-	// CounterWakes counts wake permits granted to parked workers.
-	CounterWakes = "sched.wakes"
 	// GaugeParkedWorkers tracks workers currently announced idle (sampled
 	// by the live exporter).
 	GaugeParkedWorkers = "sched.parked_workers"
-	// CounterFolds counts streaming-reducer folds.
-	CounterFolds = "core.reduce_folds"
-	// CounterBcastTrees counts planned tree broadcasts.
-	CounterBcastTrees = "bcast.trees"
-	// CounterWirePackets counts physical packets put on the fabric
-	// (after coalescing; the logical-message count is MsgsSent).
-	CounterWirePackets = "net.wire_packets"
-	// CounterWireBytes counts bytes put on the fabric, framing included.
-	CounterWireBytes = "net.wire_bytes"
-	// CounterEagerSends counts point-to-point values that traveled inline
-	// (eager protocol, below the rendezvous threshold).
-	CounterEagerSends = "net.eager_sends"
-	// CounterRendezvousSends counts values that took the split-metadata
-	// rendezvous path (metadata eager, payload via RMA).
-	CounterRendezvousSends = "net.rendezvous_sends"
 	// HistCoalesceBatch is the number of logical messages per coalesced
 	// wire packet (the coalesce ratio is its mean).
 	HistCoalesceBatch = "net.coalesce_batch"
-	// CounterBcastChunks counts pipelined-broadcast chunk packets relayed
-	// or originated by this rank.
-	CounterBcastChunks = "bcast.chunks"
-	// CounterDataCopies counts deep copies of in-flight values (clones made
-	// for copy semantics, CoW materialization, or remote snapshots).
-	CounterDataCopies = "data.copies"
-	// CounterCopiesAvoided counts deliveries satisfied without a deep copy
-	// (shared read-only references, in-place takes, ownership moves).
-	CounterCopiesAvoided = "data.copies_avoided"
 	// GaugePendingShells tracks partially matched task shells held in the
 	// match table (created but not yet activated).
 	GaugePendingShells = "core.pending_shells"
@@ -209,33 +176,9 @@ const (
 	GaugeTrackedValues = "data.tracked_live"
 	// GaugeTermdetActive is the termination detector's local activity level.
 	GaugeTermdetActive = "termdet.active"
-	// CounterReduceLocalFolds counts contributions folded into local
-	// combiner slots instead of taking a match-table trip (reduce.go).
-	CounterReduceLocalFolds = "reduce.local_folds"
-	// CounterReduceHops counts partial accumulators received and re-folded
-	// at interior ranks of the reduce tree (the owner's arrivals are the
-	// deliveries the tree exists to bound).
-	CounterReduceHops = "reduce.tree_hops"
-	// CounterReduceBytesSaved counts owner-inbound bytes avoided: payload
-	// folded into an already-parked remote-bound partial, so it reaches
-	// the owner inside one combined delivery instead of as its own.
-	CounterReduceBytesSaved = "reduce.bytes_saved"
 	// GaugePendingReductions tracks combiner slots holding unflushed
 	// partial accumulations (nonzero after a fence means lost input).
 	GaugePendingReductions = "reduce.pending_partials"
-	// CounterGatherSends counts remote data deliveries that took the
-	// zero-copy gather path: header encoded, payload shipped as
-	// by-reference segments.
-	CounterGatherSends = "serde.gather_sends"
-	// CounterCopySends counts remote data deliveries that flattened the
-	// payload through the copy-encode path (the gather path's baseline).
-	CounterCopySends = "serde.copy_sends"
-	// CounterViewDecodes counts receives decoded as views aliasing the
-	// arrived payload memory instead of copying out of it.
-	CounterViewDecodes = "serde.view_decodes"
-	// CounterBytesZeroCopied counts payload bytes that crossed the wire by
-	// reference (gather sends), i.e. bytes spared the encode+decode pair.
-	CounterBytesZeroCopied = "serde.bytes_zero_copied"
 	// GaugeRecvViews tracks live receive views: scatter-decoded values
 	// still aliasing pooled receive buffers (process-global; nonzero after
 	// a fence means a view leak pinning pool memory).
@@ -318,13 +261,6 @@ func (s *Session) Rank(r int) *Rank {
 // metrics not owned by a single rank).
 func (s *Session) Global() *Registry { return &s.global }
 
-// NumRanks returns how many rank recorders exist.
-func (s *Session) NumRanks() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.ranks)
-}
-
 // Dropped returns the total events discarded because rank buffers filled.
 func (s *Session) Dropped() int64 {
 	s.mu.Lock()
@@ -351,17 +287,6 @@ func (s *Session) Events() []Event {
 		out = append(out, rk.Events()...)
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
-	return out
-}
-
-// Registries returns the per-rank registries keyed by rank.
-func (s *Session) Registries() map[int]*Registry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]*Registry, len(s.ranks))
-	for r, rk := range s.ranks {
-		out[r] = &rk.reg
-	}
 	return out
 }
 
@@ -437,8 +362,15 @@ func (r *Rank) Now() int64 { return int64(time.Since(r.epoch)) }
 // Metrics implements Recorder.
 func (r *Rank) Metrics() *Registry { return &r.reg }
 
-// RankID returns the rank this recorder belongs to.
-func (r *Rank) RankID() int { return int(r.rank) }
+// SetCounters installs the rank's counter source: registry snapshots (and
+// so LiveReport, Report and the OpenMetrics exporter) read c's counters
+// live. The backend calls it once per rank when the run is built; a
+// session observes one run, so a later call replaces the source.
+func (r *Rank) SetCounters(c *trace.Collector) {
+	r.reg.mu.Lock()
+	r.reg.counters = c
+	r.reg.mu.Unlock()
+}
 
 // Dropped returns how many events this rank discarded.
 func (r *Rank) Dropped() int64 { return r.dropped.Load() }

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 func TestRankRecordAndEvents(t *testing.T) {
@@ -73,7 +75,8 @@ func TestRecorderRace(t *testing.T) {
 	const goroutines, perG = 8, 2000
 	s := NewSession(Config{Capacity: goroutines * perG})
 	rk := s.Rank(0)
-	ctr := rk.Metrics().Counter("test.ops")
+	var ctr trace.Collector
+	rk.SetCounters(&ctr)
 	gauge := rk.Metrics().Gauge("test.level")
 	hist := rk.Metrics().Histogram("test.vals")
 
@@ -100,7 +103,7 @@ func TestRecorderRace(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				rk.Record(Event{Kind: EvExecEnd, Name: "T", TS: int64(g*perG + i + 1), Dur: 1})
-				ctr.Add(1)
+				ctr.TasksExecuted.Add(1)
 				gauge.Add(1)
 				gauge.Add(-1)
 				hist.Observe(int64(i))
@@ -117,7 +120,7 @@ func TestRecorderRace(t *testing.T) {
 	if d := rk.Dropped(); d != 0 {
 		t.Errorf("dropped %d events with room for all", d)
 	}
-	if got := ctr.Load(); got != goroutines*perG {
+	if got := rk.Metrics().Snapshot().Counters["core.tasks"]; got != goroutines*perG {
 		t.Errorf("counter = %d, want %d", got, goroutines*perG)
 	}
 	if got := gauge.Load(); got != 0 {
@@ -167,15 +170,17 @@ func TestGaugeHighWater(t *testing.T) {
 
 func TestRegistryMerge(t *testing.T) {
 	var a, b Registry
-	a.Counter("c").Add(2)
-	b.Counter("c").Add(3)
+	var ca, cb trace.Collector
+	a.counters, b.counters = &ca, &cb
+	ca.TasksExecuted.Add(2)
+	cb.TasksExecuted.Add(3)
 	a.Gauge("g").Add(5)
 	b.Gauge("g").Add(1)
 	a.Histogram("h").Observe(10)
 	b.Histogram("h").Observe(1000)
 	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Counters["c"] != 5 {
-		t.Errorf("merged counter = %d, want 5", m.Counters["c"])
+	if m.Counters["core.tasks"] != 5 {
+		t.Errorf("merged counter = %d, want 5", m.Counters["core.tasks"])
 	}
 	if m.Gauges["g"].Value != 6 || m.Gauges["g"].Max != 5 {
 		t.Errorf("merged gauge = %+v, want value 6 max 5", m.Gauges["g"])

@@ -88,16 +88,9 @@ type workerState struct {
 
 // Stats is a point-in-time snapshot of scheduler-internal counters. They
 // are maintained unconditionally (cheap uncontended atomics) so stall
-// diagnostics work without a full observability session.
-type Stats struct {
-	StealAttempts int64 // steal sweeps started by out-of-work workers
-	StealHits     int64 // sweeps that found an item
-	InlineRuns    int64 // tasks executed via the run-next slot
-	Parks         int64 // times a worker blocked in cond.Wait
-	Wakes         int64 // wake permits granted to parked workers
-	Parked        int   // workers currently announced idle
-	Workers       int
-}
+// diagnostics work without a full observability session. The type lives
+// in trace, whose name table exposes these counters to every surface.
+type Stats = trace.SchedStats
 
 // Pool is a fixed-size worker pool executing Items via a run callback. The
 // callback receives the executing worker's index so that tasks spawned
@@ -139,20 +132,11 @@ type Pool struct {
 	idleFired bool
 
 	// Observability (nil when disabled): queue-depth gauge moves on every
-	// submit/pop; the steal/park/inline counters mirror the always-on
-	// Stats atomics into the metrics registry.
+	// submit/pop; the inline-chain histogram and steal events sit beside
+	// the always-on Stats counters, which the obs registry reads live.
 	obs       obs.Recorder
 	depth     *obs.Gauge
-	steals    *obs.Counter
-	stealAtt  *obs.Counter
-	inlined   *obs.Counter
 	chainHist *obs.Histogram
-	parksC    *obs.Counter
-	wakesC    *obs.Counter
-
-	// tr, when set, feeds the backend's stats counters (the CLI "stolen="
-	// figure) without requiring a full observability session.
-	tr *trace.Collector
 
 	// onPanic, when set, runs with a panic recovered from the run callback
 	// before the panic is re-raised; backends hook crash-dump flushing
@@ -207,8 +191,8 @@ func (p *Pool) Workers() int { return p.n }
 func (p *Pool) DisableRunNext() { p.inline = false }
 
 // Observe attaches a recorder; call before Start. The pool then maintains
-// the scheduler queue-depth gauge and mirrors the steal, inline, and
-// park/wake counters into the metrics registry.
+// the scheduler queue-depth gauge and inline-chain histogram and records
+// steal events.
 func (p *Pool) Observe(rec obs.Recorder) {
 	if rec == nil {
 		return
@@ -216,17 +200,8 @@ func (p *Pool) Observe(rec obs.Recorder) {
 	p.obs = rec
 	m := rec.Metrics()
 	p.depth = m.Gauge(obs.GaugeQueueDepth)
-	p.steals = m.Counter(obs.CounterSteals)
-	p.stealAtt = m.Counter(obs.CounterStealAttempts)
-	p.inlined = m.Counter(obs.CounterInlined)
 	p.chainHist = m.Histogram(obs.HistInlineChain)
-	p.parksC = m.Counter(obs.CounterParks)
-	p.wakesC = m.Counter(obs.CounterWakes)
 }
-
-// Trace attaches a stats collector; call before Start. Successful steals
-// then increment its TasksStolen counter.
-func (p *Pool) Trace(tr *trace.Collector) { p.tr = tr }
 
 // OnIdle registers f to run each time the pool transitions from busy to
 // fully quiescent (every worker out of work and about to sleep). f runs on
@@ -440,9 +415,6 @@ func (p *Pool) wake() {
 	if p.permits < p.n {
 		p.permits++
 		p.wakes.Add(1)
-		if p.wakesC != nil {
-			p.wakesC.Add(1)
-		}
 	}
 	p.mu.Unlock()
 	p.cond.Signal()
@@ -471,9 +443,6 @@ func (p *Pool) wakeN(n int) {
 		return
 	}
 	p.wakes.Add(int64(n))
-	if p.wakesC != nil {
-		p.wakesC.Add(int64(n))
-	}
 	if n >= idle {
 		p.cond.Broadcast()
 		return
@@ -541,9 +510,6 @@ func (p *Pool) park(id int, rng *rand.Rand) bool {
 			continue
 		}
 		p.ws[id].parks.Add(1)
-		if p.parksC != nil {
-			p.parksC.Add(1)
-		}
 		p.cond.Wait()
 	}
 	p.busy++
@@ -582,8 +548,7 @@ func (p *Pool) execute(id int, it Item) {
 	}
 	w.chain = 0
 	w.inlineRuns.Add(int64(chain))
-	if p.inlined != nil {
-		p.inlined.Add(int64(chain))
+	if p.chainHist != nil {
 		p.chainHist.Observe(int64(chain))
 	}
 }
@@ -646,9 +611,6 @@ func (p *Pool) trySteal(id int, rng *rand.Rand) (Item, bool) {
 	}
 	w := &p.ws[id]
 	w.stealAttempts.Add(1)
-	if p.stealAtt != nil {
-		p.stealAtt.Add(1)
-	}
 	start := rng.Intn(p.n)
 	for k := 0; k < p.n; k++ {
 		v := (start + k) % p.n
@@ -678,11 +640,7 @@ func (p *Pool) trySteal(id int, rng *rand.Rand) (Item, bool) {
 
 func (p *Pool) recordSteal(id, victim int, w *workerState) {
 	w.stealHits.Add(1)
-	if p.tr != nil {
-		p.tr.TasksStolen.Add(1)
-	}
 	if p.obs != nil {
-		p.steals.Add(1)
 		p.obs.Record(obs.Event{Kind: obs.EvSteal, Worker: int32(id),
 			TT: -1, Bytes: int64(victim)})
 	}

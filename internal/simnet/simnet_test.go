@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
@@ -127,8 +128,8 @@ func TestRMARoundTrip(t *testing.T) {
 
 func TestHandleWireFormat(t *testing.T) {
 	h := RMAHandle{Owner: 300, ID: 1<<40 + 17}
-	buf := EncodeHandle(nil, h)
-	got, rest := DecodeHandle(append(buf, 0xFF))
+	buf := fabric.EncodeHandle(nil, h)
+	got, rest := fabric.DecodeHandle(append(buf, 0xFF))
 	if got != h {
 		t.Fatalf("handle round trip: got %+v want %+v", got, h)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/des"
 	"repro/internal/pool"
@@ -22,8 +23,9 @@ type Tile struct {
 	Data []float64
 	// viewed marks a tile decoded as a receive view: Data aliases pooled
 	// receive memory the runtime still accounts for in the recv-view
-	// ledger until EndViewLease runs.
-	viewed bool
+	// ledger until EndViewLease runs. Atomic because every consumer of a
+	// shared view may end the lease at once.
+	viewed atomic.Bool
 }
 
 // New allocates a zeroed tile.
@@ -49,7 +51,7 @@ func get(rows, cols int) *Tile {
 		t := v.(*Tile)
 		t.Rows, t.Cols = rows, cols
 		t.Data = t.Data[:n]
-		t.viewed = false
+		t.viewed.Store(false)
 		return t
 	}
 	return &Tile{Rows: rows, Cols: cols, Data: make([]float64, n, pool.F64ClassCap(cls))}
@@ -86,8 +88,7 @@ func (t *Tile) Release() {
 // and by the runtime when it hands the tile (and so its payload memory)
 // over to the application outright.
 func (t *Tile) EndViewLease() {
-	if t != nil && t.viewed {
-		t.viewed = false
+	if t != nil && t.viewed.Load() && t.viewed.CompareAndSwap(true, false) {
 		serde.NoteViewEnd()
 	}
 }
@@ -223,7 +224,9 @@ func init() {
 			// Keep the segment's full capacity so Release can return
 			// the buffer to its exact pool class.
 			serde.NoteViewDecode()
-			return &Tile{Rows: rows, Cols: cols, Data: segs[0].F64[:rows*cols], viewed: true}
+			t := &Tile{Rows: rows, Cols: cols, Data: segs[0].F64[:rows*cols]}
+			t.viewed.Store(true)
+			return t
 		},
 	})
 	serde.RegisterSplitMD(&Tile{}, serde.SplitMDTraits{

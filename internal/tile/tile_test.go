@@ -1,6 +1,7 @@
 package tile
 
 import (
+	"sync"
 	"testing"
 
 	"repro/internal/serde"
@@ -86,5 +87,27 @@ func TestFrobeniusNorm(t *testing.T) {
 	a.Data[0], a.Data[1] = 3, 4
 	if n := a.FrobeniusNorm(); n != 5 {
 		t.Fatalf("norm = %v", n)
+	}
+}
+
+// TestEndViewLeaseConcurrent ends one shared receive view's lease from
+// several consumers at once, as tasks sharing a raw view input do: under
+// -race the flag must not race, and the ledger must drop exactly once.
+func TestEndViewLeaseConcurrent(t *testing.T) {
+	before := serde.LiveRecvViews()
+	v := &Tile{Rows: 1, Cols: 1, Data: []float64{1}}
+	serde.NoteViewDecode()
+	v.viewed.Store(true)
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v.EndViewLease()
+		}()
+	}
+	wg.Wait()
+	if got := serde.LiveRecvViews(); got != before {
+		t.Fatalf("live recv views = %d, want %d", got, before)
 	}
 }

@@ -1,17 +1,23 @@
 package trace
 
 import (
+	"reflect"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// TestCollectorRace hammers every Collector counter from many goroutines
-// while another goroutine snapshots concurrently. Run under -race; after
-// the writers join, totals must be exact.
+// TestCollectorRace hammers every Collector counter in the name table, plus
+// the scheduler source, from many goroutines while another goroutine
+// snapshots and exports concurrently. Run under -race; after the writers
+// join, totals must be exact.
 func TestCollectorRace(t *testing.T) {
-	const goroutines, perG = 8, 5000
+	const goroutines, perG = 8, 2000
 	var c Collector
+	var mu sync.Mutex
+	var st SchedStats
+	c.AttachSched(func() SchedStats { mu.Lock(); defer mu.Unlock(); return st })
 
 	stop := make(chan struct{})
 	var snapWG sync.WaitGroup
@@ -30,6 +36,7 @@ func TestCollectorRace(t *testing.T) {
 					return
 				}
 				_ = s.String()
+				c.Each(func(string, int64) {})
 			}
 		}
 	}()
@@ -40,17 +47,14 @@ func TestCollectorRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				c.TasksExecuted.Add(1)
-				c.MsgsSent.Add(1)
-				c.MsgsReceived.Add(1)
-				c.BytesSent.Add(10)
-				c.BytesReceived.Add(10)
-				c.DataCopies.Add(1)
-				c.CopiesAvoided.Add(1)
-				c.SplitMDTransfers.Add(1)
-				c.ArchiveTransfers.Add(1)
-				c.BcastsForwarded.Add(1)
-				c.TasksStolen.Add(1)
+				for j := range Counters {
+					if col := Counters[j].col; col != nil {
+						col(&c).Add(int64(j + 1))
+					}
+				}
+				mu.Lock()
+				st.StealHits++
+				mu.Unlock()
 			}
 		}()
 	}
@@ -58,15 +62,67 @@ func TestCollectorRace(t *testing.T) {
 	close(stop)
 	snapWG.Wait()
 
-	s := c.Snapshot()
+	s, sched := c.Snapshot(), c.schedStats()
 	const n = goroutines * perG
-	if s.TasksExecuted != n || s.MsgsSent != n || s.MsgsReceived != n ||
-		s.DataCopies != n || s.CopiesAvoided != n || s.SplitMDTransfers != n ||
-		s.ArchiveTransfers != n || s.BcastsForwarded != n || s.TasksStolen != n {
-		t.Errorf("counter totals off: %+v, want %d each", s, n)
+	for j := range Counters {
+		r := &Counters[j]
+		want := int64(n * (j + 1))
+		if r.col == nil {
+			if r.snap == nil {
+				continue
+			}
+			want = n // TasksStolen, from the scheduler source
+		}
+		if got := r.value(&s, &sched); got != want {
+			t.Errorf("%s = %d, want %d", r.Name, got, want)
+		}
 	}
-	if s.BytesSent != 10*n || s.BytesReceived != 10*n {
-		t.Errorf("bytes = %d/%d, want %d/%d", s.BytesSent, s.BytesReceived, 10*n, 10*n)
+}
+
+// TestSnapshotFieldsCovered checks, by reflection, that the name table
+// covers every Snapshot field: Snapshot copies each Collector field, Add
+// sums every field and String names every field.
+func TestSnapshotFieldsCovered(t *testing.T) {
+	var c Collector
+	cv := reflect.ValueOf(&c).Elem()
+	var a, b Snapshot
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	typ := av.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		av.Field(i).SetInt(int64(10000 + i))
+		bv.Field(i).SetInt(int64(20000 + 2*i))
+		name := typ.Field(i).Name
+		if f := cv.FieldByName(name); f.IsValid() {
+			f.Addr().MethodByName("Store").Call([]reflect.Value{reflect.ValueOf(int64(30000 + i))})
+		} else if name != "TasksStolen" {
+			t.Errorf("Snapshot.%s has no Collector field", name)
+		}
+	}
+	for i := 0; i < cv.NumField(); i++ {
+		if f := cv.Type().Field(i); f.IsExported() && !av.FieldByName(f.Name).IsValid() {
+			t.Errorf("Collector.%s has no Snapshot field", f.Name)
+		}
+	}
+	c.AttachSched(func() SchedStats { return SchedStats{StealHits: 7} })
+
+	snap := reflect.ValueOf(c.Snapshot())
+	sum := reflect.ValueOf(a.Add(b))
+	line := a.String()
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		want := int64(30000 + i)
+		if name == "TasksStolen" {
+			want = 7
+		}
+		if got := snap.Field(i).Int(); got != want {
+			t.Errorf("Snapshot().%s = %d, want %d", name, got, want)
+		}
+		if got, want := sum.Field(i).Int(), int64(30000+3*i); got != want {
+			t.Errorf("Add: %s = %d, want %d", name, got, want)
+		}
+		if !strings.Contains(line, strconv.Itoa(10000+i)) {
+			t.Errorf("String() does not name %s: %s", name, line)
+		}
 	}
 }
 
