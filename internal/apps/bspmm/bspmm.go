@@ -5,10 +5,13 @@
 //
 //  1. a read window — LStore tasks send tokens back to the ReadSp tasks so
 //     only a bounded number of tile injections are in flight, and
-//  2. a coordinator — local broadcasts (LBcast) towards the MultiplyAdd
-//     kernels are released in batches as MultiplyAdd completions stream
-//     into per-rank Coordinator tasks, focusing the scheduler on a subset
-//     of tiles.
+//  2. a coordinator — local broadcasts (LBcast) of both A and B towards
+//     the MultiplyAdd kernels are released in batches as MultiplyAdd
+//     completions stream into per-rank Coordinator tasks, focusing the
+//     scheduler on a subset of tiles. A B tile is released with the first
+//     batch that uses it, so the partially matched MultiplyAdds a rank
+//     holds stay within the window instead of growing with every tile
+//     read.
 //
 // The comparator is a DBCSR-model 2.5D SUMMA: ranks are split into
 // replica layers that each process a slice of the k range behind per-step
@@ -18,7 +21,11 @@
 package bspmm
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -97,7 +104,7 @@ type App struct {
 	readGateA, readGateB ttg.Edge[ttg.Int2, ttg.Void]
 	storeA, storeB       ttg.Edge[ttg.Int3, *tile.Tile]
 	lbTileA, lbTileB     ttg.Edge[ttg.Int3, *tile.Tile]
-	lbGoA                ttg.Edge[ttg.Int3, ttg.Void]
+	lbGoA, lbGoB         ttg.Edge[ttg.Int3, ttg.Void]
 	maA, maB, maC        ttg.Edge[ttg.Int3, *tile.Tile]
 	coord                ttg.Edge[ttg.Int2, ttg.Void]
 	outC                 ttg.Edge[ttg.Int2, *tile.Tile]
@@ -105,10 +112,14 @@ type App struct {
 	// Read windows (per owning rank, identical on every rank).
 	readOrderA, readOrderB map[int][]ttg.Int2
 	readIndexA, readIndexB map[ttg.Int2]int
+	recvA, recvB           map[ttg.Int2][]int // tile -> sorted receiving ranks
 
-	// Coordinator batches (per rank).
-	lbOrderA map[int][]ttg.Int2 // rank -> ordered (i,k) handled by LBcastA there
-	lbBatch  map[[3]int]int     // (i,k,r) -> batch index
+	// Coordinator batches (per receiving rank r). Batch b of r holds the
+	// A tiles lbOrderA[r][b*BatchSize:(b+1)*BatchSize] and the B tiles
+	// lbBatchB[r][b].
+	lbOrderA map[int][]ttg.Int2   // rank -> (i,k) handled by LBcastA there, by (k, i)
+	lbBatch  map[[3]int]int       // (i,k,r) -> batch index
+	lbBatchB map[int][][]ttg.Int2 // rank -> batch -> (k,j) first used there
 
 	// DBCSR-model plumbing.
 	shiftGoA, shiftGoB ttg.Edge[ttg.Int2, ttg.Void] // key: (k, layer-step token target)
@@ -174,7 +185,7 @@ func (a *App) receiversA(i, k int) []int {
 			out = append(out, r)
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -192,7 +203,7 @@ func (a *App) receiversB(k, j int) []int {
 			out = append(out, r)
 		}
 	}
-	sortInts(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -215,80 +226,83 @@ func CostModel(m *sparse.Matrix, mach cluster.Machine) func(*core.Task) float64 
 	}
 }
 
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
-
+// sortKeys orders tile keys (x, y) by y, then x.
 func sortKeys(s []ttg.Int2) {
-	less := func(a, b ttg.Int2) bool {
-		if a[1] != b[1] {
-			return a[1] < b[1]
-		}
-		return a[0] < b[0]
-	}
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	slices.SortFunc(s, func(a, b ttg.Int2) int {
+		return cmp.Or(cmp.Compare(a[1], b[1]), cmp.Compare(a[0], b[0]))
+	})
 }
 
 // storageOwner distributes A's tiles for reading (same block cyclic map).
 func (a *App) storageOwner(i, k int) int { return a.ownerC(i, k) }
 
 // buildReadPlans computes, identically on every rank, each rank's ordered
-// read list and the LBcast batch assignment.
+// read list, every tile's receiving ranks and the LBcast batch assignment.
 func (a *App) buildReadPlans() {
 	a.readOrderA = map[int][]ttg.Int2{}
 	a.readOrderB = map[int][]ttg.Int2{}
 	a.readIndexA = map[ttg.Int2]int{}
 	a.readIndexB = map[ttg.Int2]int{}
+	a.recvA = map[ttg.Int2][]int{}
+	a.recvB = map[ttg.Int2][]int{}
 	a.lbOrderA = map[int][]ttg.Int2{}
 	a.lbBatch = map[[3]int]int{}
-	nt := a.nt
-	for i := 0; i < nt; i++ {
+	a.lbBatchB = map[int][][]ttg.Int2{}
+	for i := 0; i < a.nt; i++ {
 		for _, k := range a.opts.A.Row(i) {
-			if len(a.receiversA(i, k)) > 0 {
-				o := a.storageOwner(i, k)
-				a.readOrderA[o] = append(a.readOrderA[o], ttg.Int2{i, k})
+			key := ttg.Int2{i, k}
+			o := a.storageOwner(i, k)
+			if rs := a.receiversA(i, k); len(rs) > 0 {
+				a.recvA[key] = rs
+				a.readOrderA[o] = append(a.readOrderA[o], key)
+				for _, r := range rs {
+					a.lbOrderA[r] = append(a.lbOrderA[r], key)
+				}
 			}
 			// B = A: tile (k', j) with k'=i, j=k.
-			if len(a.receiversB(i, k)) > 0 {
-				o := a.storageOwner(i, k)
-				a.readOrderB[o] = append(a.readOrderB[o], ttg.Int2{i, k})
+			if rs := a.receiversB(i, k); len(rs) > 0 {
+				a.recvB[key] = rs
+				a.readOrderB[o] = append(a.readOrderB[o], key)
 			}
 		}
 	}
-	for r := range a.readOrderA {
-		sortKeys(a.readOrderA[r])
-		for n, key := range a.readOrderA[r] {
+	for _, order := range a.readOrderA {
+		sortKeys(order)
+		for n, key := range order {
 			a.readIndexA[key] = n
 		}
 	}
-	for r := range a.readOrderB {
-		sortKeys(a.readOrderB[r])
-		for n, key := range a.readOrderB[r] {
+	for _, order := range a.readOrderB {
+		sortKeys(order)
+		for n, key := range order {
 			a.readIndexB[key] = n
 		}
 	}
 	// LBcastA batches per receiving rank, ordered by (k, i) so the batch
 	// order respects the MultiplyAdd chain order (ascending k), which
-	// keeps the coordinator loop deadlock-free.
-	for i := 0; i < nt; i++ {
-		for _, k := range a.opts.A.Row(i) {
-			for _, r := range a.receiversA(i, k) {
-				a.lbOrderA[r] = append(a.lbOrderA[r], ttg.Int2{i, k})
+	// keeps the coordinator loop deadlock-free. firstUse[(r, k)] is the
+	// first batch on r holding column k.
+	firstUse := map[[2]int]int{}
+	for r, order := range a.lbOrderA {
+		sortKeys(order)
+		for n, key := range order {
+			b := n / a.opts.BatchSize
+			a.lbBatch[[3]int{key[0], key[1], r}] = b
+			if n == 0 || order[n-1][1] != key[1] {
+				firstUse[[2]int{r, key[1]}] = b
 			}
 		}
+		a.lbBatchB[r] = make([][]ttg.Int2, a.numBatches(r))
 	}
-	for r := range a.lbOrderA {
-		sortKeys(a.lbOrderA[r])
-		for n, key := range a.lbOrderA[r] {
-			a.lbBatch[[3]int{key[0], key[1], r}] = n / a.opts.BatchSize
+	// LBcastB releases B[k][j] on r with the first batch holding column
+	// k: no later than the A tile of any MultiplyAdd there that needs it,
+	// so gating B adds no wait to the A-ordered release.
+	for i := 0; i < a.nt; i++ {
+		for _, k := range a.opts.A.Row(i) {
+			for _, r := range a.recvB[ttg.Int2{i, k}] {
+				b := firstUse[[2]int{r, i}]
+				a.lbBatchB[r][b] = append(a.lbBatchB[r][b], ttg.Int2{i, k})
+			}
 		}
 	}
 }
@@ -304,14 +318,18 @@ func (a *App) localMAsForA(i, k, r int) int {
 	return n
 }
 
+// batchA returns the A tiles of rank r's batch b.
+func (a *App) batchA(r, b int) []ttg.Int2 {
+	order := a.lbOrderA[r]
+	return order[b*a.opts.BatchSize : min((b+1)*a.opts.BatchSize, len(order))]
+}
+
 // batchMACount is the coordinator's stream size: completions expected from
 // the MultiplyAdds whose A tile sits in batch b on rank r.
 func (a *App) batchMACount(r, b int) int {
 	n := 0
-	for _, key := range a.lbOrderA[r] {
-		if a.lbBatch[[3]int{key[0], key[1], r}] == b {
-			n += a.localMAsForA(key[0], key[1], r)
-		}
+	for _, key := range a.batchA(r, b) {
+		n += a.localMAsForA(key[0], key[1], r)
 	}
 	return n
 }
@@ -336,6 +354,7 @@ func (a *App) buildTTG() {
 	a.lbTileA = ttg.NewEdge[ttg.Int3, *tile.Tile]("lbcast_a_tile")
 	a.lbTileB = ttg.NewEdge[ttg.Int3, *tile.Tile]("lbcast_b_tile")
 	a.lbGoA = ttg.NewEdge[ttg.Int3, ttg.Void]("lbcast_a_go")
+	a.lbGoB = ttg.NewEdge[ttg.Int3, ttg.Void]("lbcast_b_go")
 	a.maA = ttg.NewEdge[ttg.Int3, *tile.Tile]("ma_a")
 	a.maB = ttg.NewEdge[ttg.Int3, *tile.Tile]("ma_b")
 	a.maC = ttg.NewEdge[ttg.Int3, *tile.Tile]("ma_c")
@@ -352,7 +371,7 @@ func (a *App) buildTTG() {
 			return 1
 		}
 		prev := a.readOrderA[o][n-a.opts.ReadWindow]
-		return len(a.receiversA(prev[0], prev[1]))
+		return len(a.recvA[prev])
 	}
 	ttg.MakeTT1(g, "ReadSpA",
 		ttg.ReduceInput(a.readGateA, func(acc, _ ttg.Void) ttg.Void { return acc }, gateSizeA),
@@ -361,7 +380,7 @@ func (a *App) buildTTG() {
 			i, k := x.Key()[0], x.Key()[1]
 			t := mat.Materialize(i, k, a.opts.Phantom)
 			var dests []ttg.Int3
-			for _, r := range a.receiversA(i, k) {
+			for _, r := range a.recvA[x.Key()] {
 				dests = append(dests, ttg.Int3{i, k, r})
 			}
 			ttg.BroadcastM(x, a.storeA, dests, t, ttg.Move)
@@ -376,7 +395,7 @@ func (a *App) buildTTG() {
 			return 1
 		}
 		prev := a.readOrderB[o][n-a.opts.ReadWindow]
-		return len(a.receiversB(prev[0], prev[1]))
+		return len(a.recvB[prev])
 	}
 	ttg.MakeTT1(g, "ReadSpB",
 		ttg.ReduceInput(a.readGateB, func(acc, _ ttg.Void) ttg.Void { return acc }, gateSizeB),
@@ -385,7 +404,7 @@ func (a *App) buildTTG() {
 			k, j := x.Key()[0], x.Key()[1]
 			t := mat.Materialize(k, j, a.opts.Phantom)
 			var dests []ttg.Int3
-			for _, r := range a.receiversB(k, j) {
+			for _, r := range a.recvB[x.Key()] {
 				dests = append(dests, ttg.Int3{k, j, r})
 			}
 			ttg.BroadcastM(x, a.storeB, dests, t, ttg.Move)
@@ -424,8 +443,9 @@ func (a *App) buildTTG() {
 		ttg.Options[ttg.Int3]{Keymap: func(k ttg.Int3) int { return k[2] }},
 	)
 
-	// LBcastA: coordinator-gated local fan-out to the MultiplyAdds
-	// (loop 2); LBcastB fans out freely.
+	// LBcastA and LBcastB: coordinator-gated local fan-out to the
+	// MultiplyAdds (loop 2). Each waits for its tile and the GO token of
+	// its batch.
 	ttg.MakeTT2(g, "LBcastA", ttg.Input(a.lbTileA).ReadOnly(), ttg.Input(a.lbGoA),
 		ttg.Out(a.maA),
 		func(x *ttg.Ctx[ttg.Int3], t *tile.Tile, _ ttg.Void) {
@@ -440,9 +460,9 @@ func (a *App) buildTTG() {
 		},
 		ttg.Options[ttg.Int3]{Keymap: func(k ttg.Int3) int { return k[2] }},
 	)
-	ttg.MakeTT1(g, "LBcastB", ttg.Input(a.lbTileB).ReadOnly(),
+	ttg.MakeTT2(g, "LBcastB", ttg.Input(a.lbTileB).ReadOnly(), ttg.Input(a.lbGoB),
 		ttg.Out(a.maB),
-		func(x *ttg.Ctx[ttg.Int3], t *tile.Tile) {
+		func(x *ttg.Ctx[ttg.Int3], t *tile.Tile, _ ttg.Void) {
 			k, j, r := x.Key()[0], x.Key()[1], x.Key()[2]
 			var dests []ttg.Int3
 			for _, i := range mat.Col(k) {
@@ -464,7 +484,7 @@ func (a *App) buildTTG() {
 			func(acc, _ ttg.Void) ttg.Void { return acc },
 			func(k ttg.Int2) int { return a.batchMACount(k[0], k[1]) },
 		),
-		ttg.Out(a.lbGoA),
+		ttg.Out(a.lbGoA, a.lbGoB),
 		func(x *ttg.Ctx[ttg.Int2], _ ttg.Void) {
 			r, b := x.Key()[0], x.Key()[1]
 			a.releaseBatch(x, r, b+a.opts.CoordWindow)
@@ -475,20 +495,28 @@ func (a *App) buildTTG() {
 	a.buildOut(a.outC, nil)
 }
 
-// releaseBatch sends GO tokens to one rank's LBcastA batch.
+// releaseBatch sends the GO tokens of one rank's batch to LBcastA and
+// LBcastB.
 func (a *App) releaseBatch(x ttg.Context, r, b int) {
 	if b >= a.numBatches(r) {
 		return
 	}
-	var keys []ttg.Int3
-	for _, key := range a.lbOrderA[r] {
-		if a.lbBatch[[3]int{key[0], key[1], r}] == b {
-			keys = append(keys, ttg.Int3{key[0], key[1], r})
-		}
+	goA, goB := a.batchGo(r, b)
+	ttg.Broadcast(x, a.lbGoA, goA, ttg.Void{})
+	if len(goB) > 0 {
+		ttg.Broadcast(x, a.lbGoB, goB, ttg.Void{})
 	}
-	if len(keys) > 0 {
-		ttg.Broadcast(x, a.lbGoA, keys, ttg.Void{})
+}
+
+// batchGo returns the LBcastA and LBcastB task IDs of rank r's batch b.
+func (a *App) batchGo(r, b int) (goA, goB []ttg.Int3) {
+	for _, key := range a.batchA(r, b) {
+		goA = append(goA, ttg.Int3{key[0], key[1], r})
 	}
+	for _, key := range a.lbBatchB[r][b] {
+		goB = append(goB, ttg.Int3{key[0], key[1], r})
+	}
+	return goA, goB
 }
 
 // buildMultiplyAdd adds the MA kernel chaining C along the contributing
@@ -575,15 +603,13 @@ func (a *App) seedTTG() {
 		}
 		ttg.Seed(a.g, a.readGateB, key, ttg.Void{})
 	}
-	// Loop 2: release the first CoordWindow LBcastA batches on this rank.
-	var keys []ttg.Int3
-	for _, key := range a.lbOrderA[me] {
-		if a.lbBatch[[3]int{key[0], key[1], me}] < a.opts.CoordWindow {
-			keys = append(keys, ttg.Int3{key[0], key[1], me})
+	// Loop 2: release the first CoordWindow batches on this rank.
+	for b := 0; b < min(a.opts.CoordWindow, a.numBatches(me)); b++ {
+		goA, goB := a.batchGo(me, b)
+		ttg.SeedBroadcast(a.g, a.lbGoA, goA, ttg.Void{})
+		if len(goB) > 0 {
+			ttg.SeedBroadcast(a.g, a.lbGoB, goB, ttg.Void{})
 		}
-	}
-	if len(keys) > 0 {
-		ttg.SeedBroadcast(a.g, a.lbGoA, keys, ttg.Void{})
 	}
 	// Zero C tiles start each chain, owned locally; iterate in sorted key
 	// order so virtual-time runs are deterministic.
@@ -602,17 +628,9 @@ func (a *App) sortedTaskKeys() []ttg.Int2 {
 	for key := range a.tasks {
 		keys = append(keys, key)
 	}
-	less := func(x, y ttg.Int2) bool {
-		if x[0] != y[0] {
-			return x[0] < y[0]
-		}
-		return x[1] < y[1]
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && less(keys[j], keys[j-1]); j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.SortFunc(keys, func(x, y ttg.Int2) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
 	return keys
 }
 
@@ -635,4 +653,62 @@ func (a *App) numMATasks() int {
 		n += len(ks)
 	}
 	return n
+}
+
+// VerifyResidual checks a product C = A·A by Freivalds' test, cheap enough
+// for benchmark scale: it costs two sparse matrix-vector products with A
+// and one with C, against the multiply's one GEMM per MultiplyAdd. It
+// draws x uniformly from [-1, 1)ⁿ with the given seed and returns the
+// relative residual ‖C·x − A·(A·x)‖₂ / ‖A·(A·x)‖₂; a single wrong element
+// of C moves it by many orders of magnitude more than rounding does. A
+// missing, extra, phantom or misshapen product tile yields NaN.
+func VerifyResidual(m *sparse.Matrix, c map[ttg.Int2]*tile.Tile, seed int64) (resid float64, ok bool) {
+	products := m.MulTasks()
+	if len(c) != len(products) {
+		return math.NaN(), false
+	}
+	for key, t := range c {
+		if _, want := products[key]; !want || t == nil || t.IsPhantom() ||
+			t.Rows != m.Dim(key[0]) || t.Cols != m.Dim(key[1]) {
+			return math.NaN(), false
+		}
+	}
+	rng := rand.New(rand.NewSource(seed))
+	x := make([]float64, m.N)
+	for i := range x {
+		x[i] = 2*rng.Float64() - 1
+	}
+	mulA := func(v []float64) []float64 { // A·v
+		out := make([]float64, m.N)
+		for i := 0; i < m.NT(); i++ {
+			for _, k := range m.Row(i) {
+				mulAdd(out, m.Offsets[i], m.Materialize(i, k, false), v, m.Offsets[k])
+			}
+		}
+		return out
+	}
+	aax := mulA(mulA(x))
+	cx := make([]float64, m.N)
+	for key, t := range c {
+		mulAdd(cx, m.Offsets[key[0]], t, x, m.Offsets[key[1]])
+	}
+	var num, den float64
+	for i := range aax {
+		d := cx[i] - aax[i]
+		num += d * d
+		den += aax[i] * aax[i]
+	}
+	resid = math.Sqrt(num / den)
+	return resid, resid < 1e-13*float64(m.N)
+}
+
+// mulAdd adds t·x[xo:] to y[yo:].
+func mulAdd(y []float64, yo int, t *tile.Tile, x []float64, xo int) {
+	for r := 0; r < t.Rows; r++ {
+		s := 0.0
+		for c := 0; c < t.Cols; c++ {
+			s += t.At(r, c) * x[xo+c]
+		}
+		y[yo+r] += s
+	}
 }

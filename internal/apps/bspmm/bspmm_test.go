@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/backend/sim"
 	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/sparse"
 	"repro/internal/tile"
 	"repro/ttg"
@@ -217,4 +218,73 @@ func TestBSPMMTTG25D(t *testing.T) {
 		g.Fence()
 	})
 	expectProduct(t, m, results)
+}
+
+// TestBSPMMPendingShellsBound pins the coordinator's bound on live match
+// state: with the local broadcasts of both A and B released in batches,
+// the partially matched task shells a rank holds stay a small share of its
+// MultiplyAdds instead of growing with every tile read (when only A was
+// gated, every MultiplyAdd waited as a shell holding its B tile).
+func TestBSPMMPendingShellsBound(t *testing.T) {
+	spec := sparse.DefaultSpec(100)
+	spec.MaxTile = 16
+	spec.FuncsMin, spec.FuncsMax = 5, 14
+	spec.Seed = 1
+	m := sparse.Generate(spec)
+	mas := 0
+	for _, ks := range m.MulTasks() {
+		mas += len(ks)
+	}
+	session := obs.NewSession(obs.Config{Capacity: 1 << 10})
+	var mu sync.Mutex
+	results := map[ttg.Int2]*tile.Tile{}
+	ttg.Run(ttg.Config{Ranks: 1, WorkersPerRank: 2, Backend: ttg.PaRSEC, Obs: session}, func(pc *ttg.Process) {
+		g := pc.NewGraph()
+		app := Build(g, Options{A: m, OnResult: func(i, j int, tl *tile.Tile) {
+			mu.Lock()
+			results[ttg.Int2{i, j}] = tl
+			mu.Unlock()
+		}})
+		g.MakeExecutable()
+		app.Seed()
+		g.Fence()
+	})
+	hwm := session.Rank(0).Metrics().Gauge(obs.GaugePendingShells).Max()
+	t.Logf("pending shells high-water mark %d of %d MultiplyAdds", hwm, mas)
+	if hwm >= int64(mas/4) {
+		t.Fatalf("pending shells peaked at %d, want below 25%% of the %d MultiplyAdds", hwm, mas)
+	}
+	if resid, ok := VerifyResidual(m, results, 1); !ok {
+		t.Fatalf("product residual %g", resid)
+	}
+}
+
+// TestVerifyResidual checks the Freivalds checker accepts a computed
+// product and rejects one wrong element, a missing tile and an extra one.
+func TestVerifyResidual(t *testing.T) {
+	m := smallMatrix()
+	results := runReal(t, ttg.PaRSEC, TTGVariant, 2, m)
+	resid, ok := VerifyResidual(m, results, 7)
+	if !ok {
+		t.Fatalf("correct product rejected: residual %g", resid)
+	}
+	t.Logf("correct product: residual %.3g", resid)
+
+	key := ttg.Int2{0, 0}
+	c := results[key]
+	orig := c.Data[0]
+	c.Data[0] = orig * (1 + 1e-6)
+	if bad, ok := VerifyResidual(m, results, 7); ok || !(bad > 1e3*resid) {
+		t.Fatalf("corrupted element %v[0] accepted: residual %g (correct %g)", key, bad, resid)
+	}
+	c.Data[0] = orig
+
+	delete(results, key)
+	if _, ok := VerifyResidual(m, results, 7); ok {
+		t.Fatalf("missing tile %v accepted", key)
+	}
+	results[ttg.Int2{0, m.NT()}] = c // same count, but not a product tile
+	if _, ok := VerifyResidual(m, results, 7); ok {
+		t.Fatalf("extra tile accepted")
+	}
 }
